@@ -1,12 +1,25 @@
-//! Criterion benchmarks for SCORE itself: Algorithm 2 classification and full
-//! schedule construction on unrolled CG DAGs. The paper's tractability claim
-//! (§VI-B) is that SCORE's work is `O(nodes+edges)`-ish — scheduling 10
-//! unrolled iterations must be microseconds-to-milliseconds, not a search.
+//! Criterion benchmarks for SCORE and the per-schedule work the tuner stacks
+//! on it, on unrolled CG DAGs of 2, 5 and 10 iterations: Algorithm 2
+//! classification, full schedule construction, the simulator's phase plan,
+//! the surrogate's cost estimate, and the tier-0 model build (one default
+//! schedule per preset × SRAM split of the widened space).
+//!
+//! DAG queries walk a per-node adjacency index, so `out_edges`/`in_edges`
+//! are O(degree) and one longest-path pass is O(V+E). Classification runs
+//! that pass once per source node: O(V·(V+E)) for the whole DAG, with every
+//! edge's transitivity, `pathnext` and Rule 4 path read off its source's
+//! table. The paper's tractability claim (§VI-B) is that SCORE schedules
+//! without a search — 10 unrolled iterations take microseconds.
 
+use cello_core::accel::CelloConfig;
 use cello_core::score::binding::{build_schedule, ScheduleOptions};
 use cello_core::score::classify::classify;
+use cello_search::{surrogate_cost, SearchSpace, SpaceConfig, Tier0Model};
+use cello_sim::phases::plan_phases;
 use cello_workloads::cg::{build_cg_dag, CgParams};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+
+const ITERATIONS: [u32; 3] = [2, 5, 10];
 
 fn params(iterations: u32) -> CgParams {
     CgParams {
@@ -22,7 +35,7 @@ fn params(iterations: u32) -> CgParams {
 
 fn bench_classify(c: &mut Criterion) {
     let mut g = c.benchmark_group("score/classify");
-    for iters in [2u32, 5, 10] {
+    for iters in ITERATIONS {
         let dag = build_cg_dag(&params(iters));
         g.bench_with_input(BenchmarkId::from_parameter(iters), &dag, |b, dag| {
             b.iter(|| black_box(classify(dag)))
@@ -33,7 +46,7 @@ fn bench_classify(c: &mut Criterion) {
 
 fn bench_build_schedule(c: &mut Criterion) {
     let mut g = c.benchmark_group("score/build_schedule");
-    for iters in [2u32, 5, 10] {
+    for iters in ITERATIONS {
         let dag = build_cg_dag(&params(iters));
         g.bench_with_input(BenchmarkId::from_parameter(iters), &dag, |b, dag| {
             b.iter(|| black_box(build_schedule(dag, ScheduleOptions::cello())))
@@ -42,5 +55,51 @@ fn bench_build_schedule(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_classify, bench_build_schedule);
+fn bench_plan_phases(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim/plan_phases");
+    for iters in ITERATIONS {
+        let dag = build_cg_dag(&params(iters));
+        let schedule = build_schedule(&dag, ScheduleOptions::cello());
+        g.bench_with_input(BenchmarkId::from_parameter(iters), &dag, |b, dag| {
+            b.iter(|| black_box(plan_phases(dag, &schedule)))
+        });
+    }
+    g.finish();
+}
+
+fn bench_surrogate_cost(c: &mut Criterion) {
+    let accel = CelloConfig::paper();
+    let mut g = c.benchmark_group("search/surrogate_cost");
+    for iters in ITERATIONS {
+        let dag = build_cg_dag(&params(iters));
+        let schedule = build_schedule(&dag, ScheduleOptions::cello());
+        g.bench_with_input(BenchmarkId::from_parameter(iters), &dag, |b, dag| {
+            b.iter(|| black_box(surrogate_cost(dag, &schedule, &accel)))
+        });
+    }
+    g.finish();
+}
+
+fn bench_tier0_model(c: &mut Criterion) {
+    let accel = CelloConfig::paper();
+    let mut g = c.benchmark_group("search/tier0_model_new");
+    g.sample_size(20);
+    for iters in ITERATIONS {
+        let dag = build_cg_dag(&params(iters));
+        let space = SearchSpace::from_dag(&dag, &SpaceConfig::widened());
+        g.bench_with_input(BenchmarkId::from_parameter(iters), &dag, |b, dag| {
+            b.iter(|| black_box(Tier0Model::new(dag, &accel, &space)))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_classify,
+    bench_build_schedule,
+    bench_plan_phases,
+    bench_surrogate_cost,
+    bench_tier0_model
+);
 criterion_main!(benches);

@@ -20,6 +20,7 @@
 
 use cello_graph::dag::{EdgeId, NodeId, TensorDag};
 use cello_graph::node::{Dominance, OpKind};
+use cello_tensor::shape::RankId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -88,18 +89,22 @@ impl Classification {
 }
 
 /// Is `consumer` *shared* with the tensor flowing along `src → consumer`?
-/// True when the consumer's dominant rank is one of the tensor's ranks at
-/// that consumer. When no direct edge exists (defensive), assume shared.
-fn consumer_shares(dag: &TensorDag, src: NodeId, consumer: NodeId) -> bool {
-    let dominant = dag.node(consumer).spec.dominant().rank;
-    dag.edges()
-        .filter(|(_, e)| e.src == src.0 && e.dst == consumer.0)
-        .map(|(_, e)| e.shares_rank(dominant))
-        .next()
-        .unwrap_or(true)
+/// True when the consumer's dominant rank (`dominant`, indexed by node) is
+/// one of the tensor's ranks at that consumer. When no direct edge exists
+/// (defensive), assume shared.
+fn consumer_shares(dag: &TensorDag, dominant: &[RankId], src: NodeId, consumer: NodeId) -> bool {
+    dag.out_edges(src)
+        .iter()
+        .map(|&e| dag.edge(e))
+        .find(|e| e.dst == consumer.0)
+        .is_none_or(|e| e.shares_rank(dominant[consumer.0]))
 }
 
 /// Algorithm 2 (verbatim rule order; see module docs for interpretations).
+///
+/// One longest-path pass per source node answers every out-edge's
+/// transitivity, `pathnext` and Rule 4 path, so a DAG classifies in
+/// O(V·(V+E)) instead of a fresh pass per edge and per query.
 ///
 /// ```
 /// use cello_core::score::classify::{classify, Dependency};
@@ -120,11 +125,18 @@ pub fn classify(dag: &TensorDag) -> Classification {
     let mut transitive = vec![false; ne];
     let mut numcast = vec![0u32; nn];
     let mut parallel_multicast = vec![false; nn];
+    let dominant: Vec<RankId> = dag.nodes().map(|(_, n)| n.spec.dominant().rank).collect();
 
     for (nid, node) in dag.nodes() {
-        for eid in dag.out_edges(nid) {
+        let outs = dag.out_edges(nid);
+        if outs.is_empty() {
+            continue;
+        }
+        let paths = dag.longest_paths_from(nid);
+        for &eid in outs {
             let edge = dag.edge(eid);
-            let is_trans = dag.edge_is_transitive(eid);
+            let dst = NodeId(edge.dst);
+            let is_trans = paths.is_transitive(dst);
             transitive[eid.0] = is_trans;
             if !is_trans {
                 numcast[nid.0] += 1;
@@ -134,8 +146,7 @@ pub fn classify(dag: &TensorDag) -> Classification {
             }
 
             let src_contracted = node.dominance == Dominance::Contracted;
-            let pathnext = dag.pathnext(eid);
-            let pathnext_shared = consumer_shares(dag, nid, pathnext);
+            let pathnext_shared = consumer_shares(dag, &dominant, nid, paths.pathnext(dst));
 
             // Rule 1: direct edge from a non-contracted producer to a shared
             // consumer pipelines.
@@ -153,8 +164,7 @@ pub fn classify(dag: &TensorDag) -> Classification {
 
             // Rule 3: a consumer whose dominant rank is not a rank of this
             // tensor cannot stream it in production order.
-            let dst_dominant = dag.node(NodeId(edge.dst)).spec.dominant().rank;
-            if !edge.shares_rank(dst_dominant) {
+            if !edge.shares_rank(dominant[dst.0]) {
                 dep = Dependency::Sequential;
             }
 
@@ -162,20 +172,12 @@ pub fn classify(dag: &TensorDag) -> Classification {
             // the longest path; any contraction-dominant interior node or
             // rank break forces a writeback, otherwise the tiles can be held.
             if !src_contracted && is_trans && pathnext_shared {
-                let path = dag
-                    .longest_path(nid, NodeId(edge.dst))
-                    .expect("transitive edge implies a path");
-                let mut writeback = false;
+                let path = paths.path_to(dst).expect("transitive edge implies a path");
                 // Interior nodes: path[1..len-1].
-                for w in 1..path.len() - 1 {
-                    let pathnode = path[w];
-                    let next_on_path = path[w + 1];
-                    let next_shared = consumer_shares(dag, pathnode, next_on_path);
-                    if dag.node(pathnode).dominance == Dominance::Contracted || !next_shared {
-                        writeback = true;
-                        break;
-                    }
-                }
+                let writeback = path.windows(2).skip(1).any(|w| {
+                    dag.node(w[0]).dominance == Dominance::Contracted
+                        || !consumer_shares(dag, &dominant, w[0], w[1])
+                });
                 dep = if writeback {
                     Dependency::DelayedWriteback
                 } else {

@@ -48,8 +48,8 @@ impl ReuseProfile {
         for (nid, node) in dag.nodes() {
             let mut consumers: Vec<NodeId> = dag
                 .out_edges(nid)
-                .into_iter()
-                .map(|e| NodeId(dag.edge(e).dst))
+                .iter()
+                .map(|&e| NodeId(dag.edge(e).dst))
                 .collect();
             consumers.sort_by_key(|c| pos[c]);
             consumers.dedup();

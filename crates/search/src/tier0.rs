@@ -66,10 +66,10 @@ use cello_core::chord::PriorityBias;
 use cello_core::score::binding::Binding;
 use cello_core::score::multinode::{NocModel, Partition, PartitionAxis};
 use cello_core::{ChordOverbook, TransferTuning};
-use cello_graph::dag::TensorDag;
+use cello_graph::dag::{NodeId, TensorDag};
 use cello_tensor::shape::RankId;
 use cello_tensor::sparse::OccupancyStats;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Cap on the pressure list (hot CHORD tensors + cuttable intermediates)
 /// the greedy fill scans per sketch — keeps the per-candidate cost O(1).
@@ -235,12 +235,11 @@ impl Tier0Model {
         #[allow(clippy::type_complexity)]
         let mut meta: HashMap<&str, (u64, u64, &[RankId], Option<OccupancyStats>)> = HashMap::new();
         for (id, node) in dag.nodes() {
-            let uses = dag.edges().filter(|(_, e)| e.src == id.0).count() as u64;
             meta.insert(
                 &node.output.name,
                 (
                     node.output.words,
-                    uses,
+                    dag.out_edges(id).len() as u64,
                     &node.output.ranks,
                     node.output.occupancy,
                 ),
@@ -257,6 +256,11 @@ impl Tier0Model {
                 ),
             );
         }
+        let external_names: HashSet<&str> = dag
+            .externals()
+            .iter()
+            .map(|e| e.meta.name.as_str())
+            .collect();
 
         let preset_di = space
             .decisions
@@ -295,7 +299,7 @@ impl Tier0Model {
                         Some(m) => m,
                         None => continue,
                     };
-                    let external = dag.externals().iter().any(|e| &e.meta.name == name);
+                    let external = external_names.contains(name.as_str());
                     let terminal = !external && uses == 0;
                     match binding {
                         Binding::Dram => {
@@ -423,13 +427,9 @@ impl Tier0Model {
                     // The intermediate a cut before `node` stops streaming:
                     // its first incoming edge's producer output.
                     let name = dag
-                        .edges()
-                        .find(|(_, e)| e.dst == *node)
-                        .and_then(|(_, e)| {
-                            dag.nodes()
-                                .find(|(id, _)| id.0 == e.src)
-                                .map(|(_, n)| n.output.name.clone())
-                        });
+                        .in_edges(NodeId(*node))
+                        .first()
+                        .map(|&e| dag.node(NodeId(dag.edge(e).src)).output.name.clone());
                     match name {
                         Some(name) => {
                             let idx = *pressure_idx.entry(name.clone()).or_insert_with(|| {
@@ -861,9 +861,7 @@ fn partition_choice(dag: &TensorDag, partition: Partition) -> PartitionChoice {
             // intermediate ships in full between stage nodes.
             let mut words = 0u64;
             for (_, edge) in dag.edges() {
-                if let Some((_, node)) = dag.nodes().find(|(id, _)| id.0 == edge.src) {
-                    words = words.saturating_add(node.output.words);
-                }
+                words = words.saturating_add(dag.node(NodeId(edge.src)).output.words);
             }
             words
         }
