@@ -1,8 +1,10 @@
 //! Criterion benchmarks for SCORE and the per-schedule work the tuner stacks
 //! on it, on unrolled CG DAGs of 2, 5 and 10 iterations: Algorithm 2
 //! classification, full schedule construction, the simulator's phase plan,
-//! the surrogate's cost estimate, and the tier-0 model build (one default
-//! schedule per preset × SRAM split of the widened space).
+//! the surrogate's cost estimate, the tier-0 model build (one default
+//! schedule per preset × SRAM split of the widened space), and the tier-0
+//! sketch sweep (49 152 sampled assignments of the widened `{1,4,16,64}`-node
+//! space, front capped at 96, as the quick trajectory runs it).
 //!
 //! DAG queries walk a per-node adjacency index, so `out_edges`/`in_edges`
 //! are O(degree) and one longest-path pass is O(V+E). Classification runs
@@ -10,6 +12,10 @@
 //! edge's transitivity, `pathnext` and Rule 4 path read off its source's
 //! table. The paper's tractability claim (§VI-B) is that SCORE schedules
 //! without a search — 10 unrolled iterations take microseconds.
+//!
+//! The sweep costs one RNG draw and one O(decisions + pressure) sketch per
+//! assignment; a newcomer at or above a full front's largest scalar is
+//! rejected in O(1), the rest pay one O(keep) dominance scan.
 
 use cello_core::accel::CelloConfig;
 use cello_core::score::binding::{build_schedule, ScheduleOptions};
@@ -94,12 +100,28 @@ fn bench_tier0_model(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_tier0_prune(c: &mut Criterion) {
+    let accel = CelloConfig::paper();
+    let mut g = c.benchmark_group("search/tier0_prune");
+    g.sample_size(10);
+    for iters in ITERATIONS {
+        let dag = build_cg_dag(&params(iters));
+        let space = SearchSpace::from_dag(&dag, &SpaceConfig::widened_with_nodes(&[1, 4, 16, 64]));
+        let model = Tier0Model::new(&dag, &accel, &space);
+        g.bench_with_input(BenchmarkId::from_parameter(iters), &space, |b, space| {
+            b.iter(|| black_box(model.prune(space, 49_152, 96, 0x7E40)))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_classify,
     bench_build_schedule,
     bench_plan_phases,
     bench_surrogate_cost,
-    bench_tier0_model
+    bench_tier0_model,
+    bench_tier0_prune
 );
 criterion_main!(benches);

@@ -49,10 +49,20 @@ pub fn metrics(dag: &TensorDag) -> DagMetrics {
         level_counts[l] += 1;
     }
     let width = level_counts.into_iter().max().unwrap_or(0);
+    // One longest-path pass per source node answers all its out-edges.
     let transitive_edges = dag
-        .edges()
-        .filter(|&(id, _)| dag.edge_is_transitive(id))
-        .count();
+        .nodes()
+        .map(|(u, _)| {
+            let outs = dag.out_edges(u);
+            if outs.is_empty() {
+                return 0;
+            }
+            let paths = dag.longest_paths_from(u);
+            outs.iter()
+                .filter(|&&e| paths.is_transitive(NodeId(dag.edge(e).dst)))
+                .count()
+        })
+        .sum();
     DagMetrics {
         nodes: n,
         edges: dag.edge_count(),

@@ -57,6 +57,13 @@
 //! tell apart; the `keep` cap (scalar-magnitude tiebreak) is the only
 //! lossy step, and the tier-0 soundness proptest pins that with cap slack
 //! the surviving set always contains the sim-optimal candidate.
+//!
+//! The sweep keeps the front as an antichain. Once it holds `keep`
+//! entries, its largest [`Sketch::scalar`] is a bar: a newcomer at or
+//! above it (unsaturated) dominates no entry and would be the cap's next
+//! eviction, so it is rejected in O(1) before any dominance test. The bar
+//! is an exact shortcut, not a second lossy step — the survivors are the
+//! ones the plain admit-then-evict loop keeps.
 
 use crate::candidate::Candidate;
 use crate::space::{Choice, SearchSpace};
@@ -101,9 +108,12 @@ impl Sketch {
     }
 
     /// Scalar magnitude for the `keep`-cap tiebreak among mutually
-    /// non-dominated sketches (smaller = kept first). Not used for
-    /// pruning — only for choosing which front members to drop when the
-    /// front outgrows the cap.
+    /// non-dominated sketches (smaller = kept first). Dominance never
+    /// reads it; it picks which front members to drop when the front
+    /// outgrows the cap, and a full front's largest scalar is the bar that
+    /// rejects a newcomer the cap would evict at once. Strict dominance
+    /// implies a strictly smaller scalar unless the sum saturates at
+    /// `u64::MAX`, which is why the bar is exact.
     pub fn scalar(&self) -> u64 {
         self.0[0]
             .saturating_add(self.0[1])
@@ -746,49 +756,18 @@ impl Tier0Model {
     /// Deterministic: same space + budget + keep + seed ⇒ same survivors.
     pub fn prune(&self, space: &SearchSpace, budget: u64, keep: usize, seed: u64) -> Tier0Prune {
         let budget = budget.max(1);
-        let keep = keep.max(1);
         let total = space.exhaustive_size();
-        struct Entry {
-            sketch: Sketch,
-            scalar: u64,
-            order: u64,
-            picks: Vec<usize>,
-        }
-        // `keep` may be enormous ("keep everything"); cap the pre-allocation,
-        // not the logic.
-        let mut kept: Vec<Entry> = Vec::with_capacity(keep.saturating_add(1).min(4096));
-        let consider = |picks: &[usize], order: u64, kept: &mut Vec<Entry>| {
-            let sketch = self.sketch(picks);
-            if kept.iter().any(|k| k.sketch.dominates(&sketch)) {
-                return;
-            }
-            kept.retain(|k| !sketch.dominates(&k.sketch));
-            kept.push(Entry {
-                sketch,
-                scalar: sketch.scalar(),
-                order,
-                picks: picks.to_vec(),
-            });
-            if kept.len() > keep {
-                // Drop the worst non-dominated survivor: largest scalar,
-                // latest admission on ties (incumbents win).
-                let worst = kept
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, k)| (k.scalar, k.order))
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                kept.remove(worst);
-            }
-        };
         let radices: Vec<usize> = space.decisions.iter().map(|d| d.choices.len()).collect();
+        let mut front = Front::new(keep.max(1), radices.len());
+        let mut consider =
+            |picks: &[usize], order: u64| front.offer(self.sketch(picks), order, picks);
         let mut picks = vec![0usize; radices.len()];
         let swept;
         if total <= budget {
             // Exhaustive odometer walk, in-place increments (same order as
             // `SearchSpace::index_to_picks`).
             for order in 0..total {
-                consider(&picks, order, &mut kept);
+                consider(&picks, order);
                 for (p, &radix) in picks.iter_mut().zip(&radices) {
                     *p += 1;
                     if *p < radix {
@@ -806,15 +785,118 @@ impl Tier0Model {
                 for (p, &radix) in picks.iter_mut().zip(&radices) {
                     *p = rng.below(radix as u64) as usize;
                 }
-                consider(&picks, order, &mut kept);
+                consider(&picks, order);
             }
             swept = budget;
         }
-        kept.sort_by_key(|k| k.order);
         Tier0Prune {
-            kept: kept.into_iter().map(|k| k.picks).collect(),
+            kept: front.into_kept(),
             swept,
         }
+    }
+}
+
+/// The sweep's sketch-Pareto front, capped at `keep`, as struct-of-arrays:
+/// entry `i` is `sketches[i]`, `scalars[i]`, `orders[i]` and the picks
+/// `picks[i * width..(i + 1) * width]`. Entries sit in no particular order —
+/// the eviction key `(scalar, order)` is unique and [`Front::into_kept`]
+/// sorts by admission order — so removal is a `swap_remove`.
+///
+/// Invariant: the entries are an antichain (no entry dominates another),
+/// and `bar` is the largest scalar on the front when it holds `keep`
+/// entries, `u64::MAX` while it has room.
+struct Front {
+    keep: usize,
+    width: usize,
+    sketches: Vec<Sketch>,
+    scalars: Vec<u64>,
+    orders: Vec<u64>,
+    picks: Vec<usize>,
+    bar: u64,
+}
+
+impl Front {
+    fn new(keep: usize, width: usize) -> Self {
+        // `keep` may be enormous ("keep everything"); cap the pre-allocation,
+        // not the logic. One spare slot holds a newcomer before eviction.
+        let cap = keep.saturating_add(1).min(4096);
+        Self {
+            keep,
+            width,
+            sketches: Vec::with_capacity(cap),
+            scalars: Vec::with_capacity(cap),
+            orders: Vec::with_capacity(cap),
+            picks: Vec::with_capacity(cap * width),
+            bar: u64::MAX,
+        }
+    }
+
+    /// Offers one swept assignment (admission `order`s strictly increase).
+    /// The result is exactly that of: drop it if a survivor dominates it,
+    /// else drop the survivors it dominates, admit it, and past `keep`
+    /// evict the largest `(scalar, order)`.
+    fn offer(&mut self, sketch: Sketch, order: u64, picks: &[usize]) {
+        let scalar = sketch.scalar();
+        // The bar. An unsaturated sketch that dominated an entry would have
+        // a strictly smaller scalar than it, so at or above the bar it
+        // dominates nobody; admitted, it would hold the largest
+        // `(scalar, order)` on a full front and be evicted at once.
+        if scalar >= self.bar && scalar != u64::MAX {
+            return;
+        }
+        // One scan both ways: on an antichain, a newcomer that dominates an
+        // entry cannot itself be dominated (dominance is transitive), so
+        // nothing has been removed when a dominator turns up.
+        let mut i = 0;
+        while i < self.sketches.len() {
+            let k = &self.sketches[i];
+            if k.dominates(&sketch) {
+                return;
+            }
+            if sketch.dominates(k) {
+                self.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        self.sketches.push(sketch);
+        self.scalars.push(scalar);
+        self.orders.push(order);
+        self.picks.extend_from_slice(picks);
+        if self.sketches.len() > self.keep {
+            // Drop the worst non-dominated survivor: largest scalar, latest
+            // admission on ties (incumbents win).
+            let worst = (0..self.scalars.len())
+                .max_by_key(|&i| (self.scalars[i], self.orders[i]))
+                .expect("non-empty");
+            self.swap_remove(worst);
+        }
+        self.bar = if self.sketches.len() == self.keep {
+            self.scalars.iter().copied().max().unwrap_or(u64::MAX)
+        } else {
+            u64::MAX
+        };
+    }
+
+    fn swap_remove(&mut self, i: usize) {
+        self.sketches.swap_remove(i);
+        self.scalars.swap_remove(i);
+        self.orders.swap_remove(i);
+        let last = self.sketches.len();
+        if i != last {
+            self.picks
+                .copy_within(last * self.width..(last + 1) * self.width, i * self.width);
+        }
+        self.picks.truncate(last * self.width);
+    }
+
+    /// The survivors' picks in admission order.
+    fn into_kept(self) -> Vec<Vec<usize>> {
+        let mut idx: Vec<usize> = (0..self.orders.len()).collect();
+        idx.sort_unstable_by_key(|&i| self.orders[i]);
+        idx.into_iter()
+            .map(|i| self.picks[i * self.width..(i + 1) * self.width].to_vec())
+            .collect()
     }
 }
 

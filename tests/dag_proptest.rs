@@ -9,6 +9,7 @@ use cello::core::score::binding::{build_schedule, ScheduleOptions};
 use cello::core::score::classify::{classify, Classification, Dependency};
 use cello::graph::dag::{EdgeId, NodeId, TensorDag};
 use cello::graph::edge::TensorMeta;
+use cello::graph::metrics::metrics;
 use cello::graph::node::{Dominance, OpKind};
 use cello::sim::baselines::{run_config, ConfigKind};
 use cello::tensor::einsum::EinsumSpec;
@@ -247,6 +248,21 @@ proptest! {
                 "edge {:?}", eid
             );
         }
+    }
+
+    /// `metrics` counts exactly the edges the brute-force path search
+    /// finds transitive.
+    #[test]
+    fn metrics_transitive_count_matches_bruteforce(
+        flavors in proptest::collection::vec(0u8..15, 2..12),
+        edges in proptest::collection::vec((0usize..12, 0usize..12), 0..30),
+    ) {
+        let dag = build(&flavors, &edges);
+        let want = dag
+            .edges()
+            .filter(|&(id, _)| dag.edge_is_transitive_bruteforce(id))
+            .count();
+        prop_assert_eq!(metrics(&dag).transitive_edges, want);
     }
 
     /// Algorithm 2 assigns every edge exactly one dependency; numcast counts

@@ -1,20 +1,24 @@
 //! Property tests for the DSE engine (`cello-search`): determinism of the
 //! Pareto front under a fixed seed, the guarantee that tuning never loses
 //! to the `ScheduleOptions::cello()` paper heuristic on the toy
-//! chain/diamond DAGs, and soundness of the tier-0 symbolic prune (it
+//! chain/diamond DAGs, soundness of the tier-0 symbolic prune (it
 //! never discards the sim-optimal candidate on exhaustively-coverable
-//! spaces).
+//! spaces), and equivalence of the tier-0 front's O(1) scalar-bar
+//! rejection with the plain admit-then-evict loop.
 
 use cello::core::accel::CelloConfig;
 use cello::core::score::binding::{build_schedule, ScheduleOptions};
 use cello::graph::dag::TensorDag;
 use cello::graph::edge::TensorMeta;
 use cello::graph::node::OpKind;
-use cello::search::{SpaceConfig, Strategy, Tuner};
+use cello::search::{SearchSpace, Sketch, SpaceConfig, Strategy, Tier0Model, Tuner};
 use cello::sim::evaluate::evaluate_schedule;
 use cello::tensor::einsum::EinsumSpec;
 use cello::tensor::shape::RankExtent;
+use cello::workloads::cg::{build_cg_dag, CgParams};
+use cello::workloads::datasets::G2_CIRCUIT;
 use proptest::prelude::*;
+use proptest::Strategy as _;
 
 fn spec(m: u64) -> EinsumSpec {
     EinsumSpec::parse(
@@ -107,6 +111,93 @@ fn small_cfg() -> SpaceConfig {
 fn heuristic_cycles(dag: &TensorDag, accel: &CelloConfig) -> u64 {
     let schedule = build_schedule(dag, ScheduleOptions::cello());
     evaluate_schedule(dag, &schedule, accel).cycles
+}
+
+/// The assignment stream `Tier0Model::prune` walks: the odometer when the
+/// budget covers the space, the seeded sample otherwise.
+fn sweep_stream(space: &SearchSpace, budget: u64, seed: u64) -> Vec<Vec<usize>> {
+    let budget = budget.max(1);
+    let total = space.exhaustive_size();
+    if total <= budget {
+        (0..total).map(|i| space.index_to_picks(i)).collect()
+    } else {
+        space.sample_assignments(budget as usize, seed)
+    }
+}
+
+/// The tier-0 front without the scalar bar: for each assignment in turn,
+/// drop it if a survivor's sketch dominates it, else drop the survivors it
+/// dominates, admit it, and past `keep` evict the largest
+/// `(scalar, admission order)`. Survivors' picks in admission order.
+fn reference_front(model: &Tier0Model, stream: &[Vec<usize>], keep: usize) -> Vec<Vec<usize>> {
+    let keep = keep.max(1);
+    let mut kept: Vec<(Sketch, usize, &[usize])> = Vec::new();
+    for (order, picks) in stream.iter().enumerate() {
+        let sketch = model.sketch(picks);
+        if kept.iter().any(|(k, _, _)| k.dominates(&sketch)) {
+            continue;
+        }
+        kept.retain(|(k, _, _)| !sketch.dominates(k));
+        kept.push((sketch, order, picks));
+        if kept.len() > keep {
+            let worst = (0..kept.len())
+                .max_by_key(|&i| (kept[i].0.scalar(), kept[i].1))
+                .unwrap();
+            kept.remove(worst);
+        }
+    }
+    kept.into_iter()
+        .map(|(_, _, picks)| picks.to_vec())
+        .collect()
+}
+
+/// `prune` keeps exactly the reference front's survivors, in order, at
+/// `budget` and — in the sampled regime, where a smaller budget walks a
+/// prefix of the same stream — at every budget up to `prefixes`, so a
+/// divergence the later sweep would heal still shows.
+fn assert_prune_matches_reference(
+    dag: &TensorDag,
+    cfg: &SpaceConfig,
+    budget: u64,
+    keep: usize,
+    seed: u64,
+    prefixes: u64,
+) -> Result<(), TestCaseError> {
+    let space = SearchSpace::from_dag(dag, cfg);
+    let model = Tier0Model::new(dag, &CelloConfig::paper(), &space);
+    let stream = sweep_stream(&space, budget, seed);
+    let sampled = (stream.len() as u64) < space.exhaustive_size();
+    let shorter = if sampled {
+        1..prefixes.min(budget)
+    } else {
+        0..0
+    };
+    for b in shorter.chain([budget]) {
+        let got = model.prune(&space, b, keep, seed);
+        let walked = &stream[..stream.len().min(b as usize)];
+        prop_assert_eq!(got.swept, walked.len() as u64);
+        let want = reference_front(&model, walked, keep);
+        prop_assert_eq!(
+            got.kept,
+            want,
+            "budget {} keep {} seed {:#x}",
+            b,
+            keep,
+            seed
+        );
+    }
+    Ok(())
+}
+
+/// The benchmark's widest tier-0 sweep: G2_circuit CG over the widened
+/// `{1, 4, 16, 64}`-node space, sampled at the quick trajectory's budget
+/// and keep cap.
+#[test]
+fn tier0_prune_matches_reference_on_g2_circuit() {
+    let dag = build_cg_dag(&CgParams::from_dataset(&G2_CIRCUIT, 16, 5));
+    let cfg = SpaceConfig::widened_with_nodes(&[1, 4, 16, 64]);
+    assert!(SearchSpace::from_dag(&dag, &cfg).exhaustive_size() > 49_152);
+    assert_prune_matches_reference(&dag, &cfg, 49_152, 96, 0x7E40, 0).unwrap();
 }
 
 proptest! {
@@ -249,5 +340,40 @@ proptest! {
                 prop_assert!(!out.baseline.cost.dominates(&e.cost), "{}", e.key.hex());
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The bar-guarded front keeps exactly what the plain admit-then-evict
+    /// loop keeps — same picks, same order — on chain and diamond DAGs, in
+    /// the exhaustive and the sampled regime, with a cap of one, a small
+    /// cap, and no cap.
+    #[test]
+    fn tier0_prune_matches_reference_front(
+        diamond_shape in any::<bool>(),
+        size in 2usize..5,
+        m in 10_000u64..300_000,
+        exhaustive in any::<bool>(),
+        budget in 1u64..3_000,
+        keep in (0u8..4, 2usize..16).prop_map(|(kind, small)| match kind {
+            0 => 1,
+            3 => usize::MAX >> 1,
+            _ => small,
+        }),
+        seed in any::<u64>(),
+    ) {
+        let dag = if diamond_shape { diamond(size, m) } else { chain(size + 1, m) };
+        // The small space is walked whole; the widened multi-node one is
+        // far larger than any budget drawn here, so it is sampled.
+        let (cfg, budget) = if exhaustive {
+            let cfg = small_cfg();
+            let total = SearchSpace::from_dag(&dag, &cfg).exhaustive_size();
+            (cfg, total + budget % 3)
+        } else {
+            (SpaceConfig::widened_with_nodes(&[1, 4]), budget)
+        };
+        assert_prune_matches_reference(&dag, &cfg, budget, keep, seed, 512)?;
     }
 }
